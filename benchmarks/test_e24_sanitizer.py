@@ -207,11 +207,13 @@ def test_e24_sanitizer(benchmark, tmp_path):
         e17_trace = tmp_path / "e17_dist_trace.json"
         soak["rt"].probe.trace.dump(str(e17_trace))
         e17_report = sanitize_path(e17_trace)
+        e17_report.source = e17_trace.name  # the tmp dir differs per run
 
         rt22, _monkey = e22.run_scenario(spike=True, sanitizers=("trace",))
         e22_trace = tmp_path / "e22_dist_trace.json"
         rt22.probe.trace.dump(str(e22_trace))
         e22_report = sanitize_path(e22_trace, partial=True)
+        e22_report.source = e22_trace.name
 
         seeded = run_seeded_detection(tmp_path)
         hunt_result = run_hunt()

@@ -2,25 +2,26 @@
 
 Every flagship experiment now bottoms out in ``repro.cluster.simtime``
 (ROADMAP item 3: the event loop *is* the hardware), so this experiment
-benchmarks the kernel itself.  Each workload kernel runs under every
-feature stage so the wins are attributable:
+benchmarks the kernel itself.  Each workload kernel runs under three
+stages:
 
 * **seed** — the frozen pre-rebuild kernel (``repro.bench.legacy_simtime``):
   one binary heap, dataclass events, trampolined zero-delay hops;
-* **heap** — the new kernel with every switch off (dispatch rewrite only);
-* **bucket** — bucketed calendar queue replaces the single heap;
-* **batch** — same-instant batching drains one timestamp per heap touch;
-* **ring** — the microtask ring for zero-delay events plus inline
-  resumption (the shipping default);
+* **ring** — the shipping kernel: bucket calendar, same-instant batching,
+  the microtask ring for zero-delay events and inline resumption;
 * **fastforward** — ring plus opt-in analytic idle fast-forward
   (``RuntimeConfig(sim_fast_forward=True)``), measured on wall clock
   because it removes events rather than dispatching them faster.
+
+The per-feature attribution of the seed→ring speedup (heap, bucket,
+batching, ring) was measured once; EXPERIMENTS.md (E26) keeps those
+numbers as the record.
 
 ``run_kernel`` enforces the bit-for-bit witness internally: every exact
 stage (seed included) must produce an identical execution checksum, and
 fast-forward must preserve the model-visible trace.  Results land in
 ``BENCH_SIMCORE.json``; CI replays this at reduced scale and fails its
-(non-blocking) step on a >20% events/sec regression vs. the committed
+(non-blocking) step on a >20% speedup-vs-seed regression vs. the committed
 baseline.
 """
 

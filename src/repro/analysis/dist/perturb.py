@@ -42,6 +42,24 @@ def default_predicate(result: Any) -> bool:
     )
 
 
+def _jsonable(value: Any) -> Any:
+    """``value`` as JSON-native data that is the same on every run.
+
+    Reports and plain data pass through; any other object (a runtime, a
+    task context) is named by its type — its ``repr`` would carry a memory
+    address.
+    """
+    if isinstance(value, SanitizerReport):
+        return value.to_dict()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return type(value).__name__
+
+
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One executed trial, for the report."""
@@ -72,13 +90,7 @@ class HuntResult:
             "baseline_failed": self.baseline_failed,
             "failing_seed": self.failing_seed,
             "minimal_schedule": list(self.minimal) if self.minimal is not None else None,
-            "minimal_result": (
-                self.minimal_result.to_dict()
-                if isinstance(self.minimal_result, SanitizerReport)
-                else repr(self.minimal_result)
-                if self.minimal_result is not None
-                else None
-            ),
+            "minimal_result": _jsonable(self.minimal_result),
         }
 
     def describe(self) -> str:

@@ -14,8 +14,7 @@ increasing sequence number, never by wall-clock or hash order.
 
 The event loop itself is the hardware at cluster scale (hundreds of millions
 of events per benchmark run), so the hot path is built for throughput while
-preserving the exact ``(time, seq)`` total order of the original
-single-heap kernel:
+preserving the exact ``(time, seq)`` total order of a single priority queue:
 
 * **bucket calendar** — timed events live in per-timestamp FIFO buckets
   (``dict[time] -> deque``) plus a heap of *distinct* times, so N events at
@@ -24,6 +23,8 @@ single-heap kernel:
 * **microtask ring** — zero-delay events (about half of all pushes:
   already-triggered awaits, resource grants, channel puts, process starts)
   bypass the calendar entirely and append to the *current instant's* FIFO.
+  The ring only ever holds the current instant: ``run`` never moves the
+  clock backwards, so a non-empty ring is always at ``now``.
 * **same-instant batching** — advancing to an instant pops its whole bucket
   off the calendar in one heap operation and installs it as the ring;
   everything at that timestamp drains without re-touching the heap.
@@ -39,21 +40,20 @@ single-heap kernel:
   tick-by-tick (the estimate-instead-of-simulate style of the data plane's
   ``transfer_time_estimate``).
 
-Installing a schedule perturbation (:meth:`Simulator.set_perturbation`)
-falls back to the legacy single-heap path, whose tie keys the perturbation
-re-ranks; the bucket/ring features re-engage when it is cleared.  The
-per-feature constructor switches exist so the ``BENCH_SIMCORE`` benchmark
-can attribute throughput to each change; production code uses the all-on
-default, which reproduces the legacy kernel's dispatch order bit-for-bit.
+A schedule perturbation (:meth:`Simulator.set_perturbation`) runs on this
+same loop: every enqueue is numbered and re-ranked by the hook, then
+inserted in ``(rank, seq)`` order into its instant's ring or bucket, so a
+perturbation hunt exercises exactly the dispatch path that ships.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from collections import deque
 from functools import partial
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -99,44 +99,35 @@ _START_ARGS = (None, None)
 _new = object.__new__
 
 
+# Sort key of a ranked queue entry ``(fn, args, (rank, seq))``: entries
+# enqueued under a schedule perturbation (see Simulator.schedule).
+_TIE_KEY = itemgetter(2)
+
+
 def _push0(sim: "Simulator", item: tuple) -> None:
     """Append a zero-delay event ``(fn, args)`` to the current instant.
 
     The common-path subset of ``Simulator.schedule(0.0, ...)`` without the
-    call-frame and vararg overhead; falls back to schedule() for the legacy
-    heap, ring-off stages, and the rewound-ring corner.
+    call-frame and vararg overhead; under a perturbation it defers to
+    schedule(), which ranks the entry.
     """
     if sim._fastpath:
-        ring = sim._ring
-        if ring:
-            if sim._ring_time == sim._now:
-                ring.append(item)
-                return
-        else:
-            sim._ring_time = sim._now
-            ring.append(item)
-            return
-    sim.schedule(0.0, item[0], *item[1])
+        sim._ring.append(item)
+    else:
+        sim.schedule(0.0, item[0], *item[1])
 
 
 def _push0_aw(sim: "Simulator", aw: "Awaitable") -> None:
-    """Zero-delay enqueue of a pre-valued awaitable (see Timeout.__init__).
+    """Zero-delay enqueue of a pre-valued awaitable (see _make_timeout).
 
     The entry is the awaitable itself with ``aw.value`` already holding the
     trigger value; the dispatch loop fires it without a tuple or a bound
     method.  Falls back to an equivalent ``trigger`` event off the fast path.
     """
     if sim._fastpath:
-        ring = sim._ring
-        if ring:
-            if sim._ring_time == sim._now:
-                ring.append(aw)
-                return
-        else:
-            sim._ring_time = sim._now
-            ring.append(aw)
-            return
-    sim.schedule(0.0, aw.trigger, aw.value)
+        sim._ring.append(aw)
+    else:
+        sim.schedule(0.0, aw.trigger, aw.value)
 
 
 class Awaitable:
@@ -226,56 +217,17 @@ class Timeout(Awaitable):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Field init and the enqueue are inlined (no super().__init__, no
-        # schedule() call): a timeout is created per timed wait and the
-        # call frames are measurable.  This block mirrors Simulator.schedule
-        # exactly — keep them in sync.
-        self.sim = sim
-        self.triggered = False
-        self._callbacks = _NO_CALLBACKS
-        self._waiter = None
+        super().__init__(sim)
         self.delay = delay
-        if sim._fastpath:
-            # Pre-valued enqueue: the queue entry is this awaitable itself
-            # (``value`` already stored), not a ``(bound trigger, (value,))``
-            # pair — two tuples and a bound-method allocation saved per
-            # timed wait, and the dispatch loop fires it without the generic
-            # trigger frame.  ``trigger(value)`` would store the same value,
-            # so the dispatch is observably identical.
-            self.value = value
-            now = sim._now
-            t = now + delay
-            if t == now:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == now:
-                        ring.append(self)
-                        return
-                    # rewound-ring corner: route via the calendar below
-                else:
-                    sim._ring_time = now
-                    ring.append(self)
-                    return
-            buckets = sim._buckets
-            lst = buckets.get(t)
-            if lst is None:
-                buckets[t] = self
-                heapq.heappush(sim._times, t)
-            elif type(lst) is deque:
-                lst.append(self)
-            else:
-                buckets[t] = deque((lst, self))
-        else:
-            self.value = None
-            sim.schedule(delay, self.trigger, value)
+        sim.schedule(delay, self.trigger, value)
 
 
 def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
     """Fast construction path for :meth:`Simulator.timeout`.
 
-    Mirror of ``Timeout.__init__`` reached through ``object.__new__`` so
-    the call skips ``type.__call__`` — keep the two bodies in sync.
-    Direct ``Timeout(sim, ...)`` construction still works identically.
+    Field init and the enqueue are inlined (no ``type.__call__``, no
+    schedule() call): a timeout is created per timed wait and the call
+    frames are measurable.  The enqueue mirrors Simulator.schedule.
     """
     if delay < 0:
         raise ValueError(f"negative timeout delay: {delay}")
@@ -286,20 +238,18 @@ def _make_timeout(sim: "Simulator", delay: float, value: Any = None) -> Timeout:
     self._waiter = None
     self.delay = delay
     if sim._fastpath:
+        # Pre-valued enqueue: the queue entry is this awaitable itself
+        # (``value`` already stored), not a ``(bound trigger, (value,))``
+        # pair — two tuples and a bound-method allocation saved per timed
+        # wait, and the dispatch loop fires it without the generic trigger
+        # frame.  ``trigger(value)`` would store the same value, so the
+        # dispatch is observably identical.
         self.value = value
         now = sim._now
         t = now + delay
         if t == now:
-            ring = sim._ring
-            if ring:
-                if sim._ring_time == now:
-                    ring.append(self)
-                    return self
-                # rewound-ring corner: route via the calendar below
-            else:
-                sim._ring_time = now
-                ring.append(self)
-                return self
+            sim._ring.append(self)
+            return self
         buckets = sim._buckets
         lst = buckets.get(t)
         if lst is None:
@@ -437,16 +387,9 @@ class Process(Awaitable):
         # The start event, with _push0's fast path inlined (a process is
         # born per message send; the helper frame is measurable).
         if sim._fastpath:
-            ring = sim._ring
-            if ring:
-                if sim._ring_time == sim._now:
-                    ring.append((step, _START_ARGS))
-                    return
-            else:
-                sim._ring_time = sim._now
-                ring.append((step, _START_ARGS))
-                return
-        sim.schedule(0.0, step, None, None)
+            sim._ring.append((step, _START_ARGS))
+        else:
+            sim.schedule(0.0, step, None, None)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
@@ -500,7 +443,7 @@ class Process(Awaitable):
                 # (we were dispatched directly by the run loop, so
                 # returning would hand control straight back to it).
                 sim = self.sim
-                if sim._inline_ok and not sim._ring and sim._trigger_depth == 0:
+                if not sim._ring and sim._trigger_depth == 0:
                     sim.inline_steps += 1
                     send_value = awaited.value
                     throw_exc = None
@@ -624,20 +567,13 @@ class Channel:
         if self._getters:
             getter = self._getters.popleft()
             # Pre-valued hand-off, _push0_aw inlined: every message delivery
-            # is one of these (see Timeout.__init__ for the entry format).
+            # is one of these (see _make_timeout for the entry format).
             getter.value = item
             sim = self.sim
             if sim._fastpath:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == sim._now:
-                        ring.append(getter)
-                        return
-                else:
-                    sim._ring_time = sim._now
-                    ring.append(getter)
-                    return
-            sim.schedule(0.0, getter.trigger, item)
+                sim._ring.append(getter)
+            else:
+                sim.schedule(0.0, getter.trigger, item)
         else:
             self._items.append(item)
 
@@ -656,16 +592,9 @@ class Channel:
             # queued while the consumer was busy).
             sig.value = self._items.popleft()
             if sim._fastpath:
-                ring = sim._ring
-                if ring:
-                    if sim._ring_time == sim._now:
-                        ring.append(sig)
-                        return sig
-                else:
-                    sim._ring_time = sim._now
-                    ring.append(sig)
-                    return sig
-            sim.schedule(0.0, sig.trigger, sig.value)
+                sim._ring.append(sig)
+            else:
+                sim.schedule(0.0, sig.trigger, sig.value)
         else:
             self._getters.append(sig)
         return sig
@@ -690,16 +619,6 @@ class Channel:
         # after the succeed has landed (cancel_get is idempotent until then).
 
 
-@dataclass(order=True, slots=True)
-class _ScheduledEvent:
-    time: float
-    # a bare int normally; ``(rank, int)`` when a perturbation is installed
-    # (both orderings are total because the int component stays unique)
-    seq: Any
-    fn: Callable = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
-
 class Simulator:
     """The event loop: a total order of timestamped callbacks.
 
@@ -711,34 +630,21 @@ class Simulator:
       deques plus a heap of distinct times; advancing to an instant promotes
       its whole bucket to the ring in one heap pop.
 
-    The legacy single-heap path remains for schedule perturbations (their
-    re-ranked tie keys need a real priority queue) and as the benchmark
-    baseline (``bucket_queue=False``).  The feature switches are cumulative:
-    ``instant_batching`` requires ``bucket_queue`` and ``microtask_ring``
-    requires ``instant_batching``.
+    Under a schedule perturbation the same two tiers hold ``(rank, seq)``-
+    ordered entries instead of FIFO ones; the dispatch loop is unchanged.
     """
 
-    def __init__(
-        self,
-        *,
-        bucket_queue: bool = True,
-        instant_batching: bool = True,
-        microtask_ring: bool = True,
-    ) -> None:
-        # legacy heap (perturbation path / attribution baseline)
-        self._queue: list[_ScheduledEvent] = []
-        # two-tier fast path
+    def __init__(self) -> None:
         self._ring: deque = deque()
-        self._ring_time = 0.0
         self._buckets: dict = {}
         self._times: list = []
-        self._seq = 0
+        self._seq = 0  # enqueues numbered under a perturbation
         self._now = 0.0
         self._running = False
         # schedule perturbation hook: maps (seq, delay) -> (rank, delay).
         # ``rank`` re-keys ties at one instant; ``delay`` may be stretched
         # (never shrunk below zero) to jitter delivery within causal
-        # constraints.  None (the default) is the bit-for-bit legacy path.
+        # constraints.  None (the default) is plain FIFO tie order.
         self._perturb: Optional[Callable[[int, float], tuple]] = None
         self._trigger_depth = 0
         # -- idle fast-forward (opt-in; see poll_timeout/arm_poller) ---------
@@ -751,19 +657,10 @@ class Simulator:
         # -- counters ---------------------------------------------------------
         self.inline_steps = 0  # process resumptions that skipped the queue
         self._dispatched = 0  # queue entries fired (flushed per instant)
-        self._opt_bucket = True
-        self._opt_batch = True
-        self._opt_ring = True
-        self._use_heap = False
-        self._inline_ok = True
-        # _fastpath gates the inlined enqueue blocks (Timeout.__init__,
-        # _push0): ring discipline active and no perturbation installed.
+        # _fastpath gates the inlined FIFO enqueue blocks (_make_timeout,
+        # _push0, ...): true unless a perturbation is installed, whose ranked
+        # entries only Simulator.schedule builds.
         self._fastpath = True
-        self.configure(
-            bucket_queue=bucket_queue,
-            instant_batching=instant_batching,
-            microtask_ring=microtask_ring,
-        )
         # Instance attributes shadow the factory methods below with
         # C-dispatched partials: model code calls sim.timeout()/sim.process()
         # tens of thousands of times per run and the pure-Python wrapper
@@ -771,38 +668,6 @@ class Simulator:
         self.timeout = partial(_make_timeout, self)
         self.process = partial(Process, self)
         self.signal = partial(Signal, self)
-
-    # -- configuration ---------------------------------------------------------
-
-    def configure(
-        self,
-        *,
-        bucket_queue: Optional[bool] = None,
-        instant_batching: Optional[bool] = None,
-        microtask_ring: Optional[bool] = None,
-    ) -> None:
-        """Flip kernel feature switches (benchmark attribution knobs).
-
-        Must be called while the simulator is idle: entries authored under
-        one queue discipline cannot be re-keyed into another.
-        """
-        if self.pending_events():
-            raise SimulationError(
-                "kernel features must be configured on an idle simulator"
-            )
-        if bucket_queue is not None:
-            self._opt_bucket = bucket_queue
-        if instant_batching is not None:
-            self._opt_batch = instant_batching
-        if microtask_ring is not None:
-            self._opt_ring = microtask_ring
-        if self._opt_batch and not self._opt_bucket:
-            raise ValueError("instant_batching requires bucket_queue")
-        if self._opt_ring and not self._opt_batch:
-            raise ValueError("microtask_ring requires instant_batching")
-        self._use_heap = self._perturb is not None or not self._opt_bucket
-        self._inline_ok = self._opt_ring and self._perturb is None
-        self._fastpath = self._opt_ring and not self._use_heap
 
     @property
     def now(self) -> float:
@@ -813,70 +678,56 @@ class Simulator:
     ) -> None:
         """Install (or clear) a schedule perturbation.
 
-        Must be called while the event queue is empty: mixing plain-int and
-        ``(rank, int)`` tie keys in one heap would make entries incomparable.
-        While installed, the kernel falls back to the legacy single-heap
-        path (the perturbation re-ranks its tie keys); clearing it restores
-        the configured bucket/ring fast path.
+        Must be called while the event queue is empty: FIFO entries and
+        ranked ``(fn, args, (rank, seq))`` entries cannot share a bucket.
+        While installed, every enqueue goes through :meth:`schedule`, which
+        ranks it; dispatch and inline resumption are unchanged.
         """
         if self.pending_events():
             raise SimulationError(
                 "a schedule perturbation must be installed on an idle simulator"
             )
         self._perturb = perturb
-        self._use_heap = perturb is not None or not self._opt_bucket
-        self._inline_ok = self._opt_ring and perturb is None
-        self._fastpath = self._opt_ring and not self._use_heap
+        self._fastpath = perturb is None
 
     # -- scheduling ------------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        if self._use_heap:
-            # Only the heap path materializes seq as a tie key; the fast
-            # structures below are FIFO by construction, so they carry the
-            # (time, seq) order without numbering each entry (dispatch
-            # counting lives in the run loops — see events_executed).
-            self._seq += 1
-            if self._perturb is None:
-                key: Any = self._seq
-            else:
-                rank, delay = self._perturb(self._seq, delay)
-                key = (rank, self._seq)
-            heapq.heappush(
-                self._queue, _ScheduledEvent(self._now + delay, key, fn, args)
-            )
-            return
+        perturb = self._perturb
+        if perturb is None:
+            entry: tuple = (fn, args)
+        else:
+            # Number the event and let the hook re-rank it among its
+            # instant's ties (and possibly stretch its delay).
+            self._seq = seq = self._seq + 1
+            rank, delay = perturb(seq, delay)
+            entry = (fn, args, (rank, seq))
         now = self._now
         t = now + delay
-        if t == now and self._opt_ring:
+        if t == now:
             # Zero-delay (or underflowed-to-now) event: it belongs to the
-            # current instant and its seq is larger than everything already
-            # pending there, so a FIFO append preserves (time, seq) order.
-            ring = self._ring
-            if ring:
-                if self._ring_time == now:
-                    ring.append((fn, args))
-                    return
-                # pathological: virtual time was rewound under a pending
-                # ring (run(until=past)); fall through to the calendar
-            else:
-                self._ring_time = now
-                ring.append((fn, args))
-                return
-        # A bucket is a bare (fn, args) tuple while it holds one event —
-        # most distinct timestamps never see a second — and becomes a FIFO
-        # deque on the first collision.
-        buckets = self._buckets
-        lst = buckets.get(t)
-        if lst is None:
-            buckets[t] = (fn, args)
-            heapq.heappush(self._times, t)
-        elif type(lst) is deque:
-            lst.append((fn, args))
+            # current instant, whose pending events are all in the ring.
+            queue = self._ring
         else:
-            buckets[t] = deque((lst, (fn, args)))
+            # A bucket is a bare entry while it holds one event — most
+            # distinct timestamps never see a second — and becomes a deque
+            # on the first collision.
+            buckets = self._buckets
+            queue = buckets.get(t)
+            if queue is None:
+                buckets[t] = entry
+                heapq.heappush(self._times, t)
+                return
+            if type(queue) is not deque:
+                queue = buckets[t] = deque((queue,))
+        if perturb is None:
+            # its seq is larger than everything already pending at ``t``,
+            # so a FIFO append preserves (time, seq) order
+            queue.append(entry)
+        else:
+            insort(queue, entry, key=_TIE_KEY)
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Schedule ``fn`` at an *absolute* virtual time.
@@ -900,33 +751,15 @@ class Simulator:
         straight to that event and fires the skipped ticks once, there.
         Callers promise the tick's handler is a pure observation whose
         skipped rounds can be accounted analytically (fast-forward
-        listeners run at each jump for exactly that purpose).
+        listeners run at each jump for exactly that purpose).  A
+        perturbation keeps every tick exact.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         tick = Signal(self)
-        if self.fast_forward and not self._use_heap:
-            now = self._now
-            t = now + delay
-            if t == now and self._opt_ring:
-                # degenerate interval: never deferrable, plain ring event
-                ring = self._ring
-                if ring and self._ring_time == now or not ring:
-                    if not ring:
-                        self._ring_time = now
-                    ring.append((tick.trigger, (value,)))
-                    return tick
-            lst = self._buckets.get(t)
-            if lst is None:
-                self._buckets[t] = (tick.trigger, (value,))
-                heapq.heappush(self._times, t)
-            elif type(lst) is deque:
-                lst.append((tick.trigger, (value,)))
-            else:
-                self._buckets[t] = deque((lst, (tick.trigger, (value,))))
-            self._poll_counts[t] = self._poll_counts.get(t, 0) + 1
-        else:
-            self.schedule(delay, tick.trigger, value)
+        self.schedule(delay, tick.trigger, value)
+        if self.fast_forward and self._fastpath:
+            t = self._now + delay
+            if t != self._now:  # a zero-delay tick sits in the ring: exact
+                self._poll_counts[t] = self._poll_counts.get(t, 0) + 1
         return tick
 
     def arm_poller(self) -> None:
@@ -1010,7 +843,6 @@ class Simulator:
         for cb in self._ff_listeners:
             cb(old, target)
         self._ring = deque(deferred)
-        self._ring_time = target
         return True
 
     # -- factories -------------------------------------------------------------
@@ -1034,18 +866,13 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None when idle."""
-        if self._use_heap:
-            return self._queue[0].time if self._queue else None
-        best: Optional[float] = self._ring_time if self._ring else None
-        if self._times:
-            t = self._times[0]
-            if best is None or t < best:
-                best = t
-        return best
+        if self._ring:
+            return self._now
+        return self._times[0] if self._times else None
 
     def pending_events(self) -> int:
-        """Events scheduled but not yet dispatched (across all tiers)."""
-        n = len(self._ring) + len(self._queue)
+        """Events scheduled but not yet dispatched (across both tiers)."""
+        n = len(self._ring)
         if self._buckets:
             n += sum(
                 len(b) if type(b) is deque else 1 for b in self._buckets.values()
@@ -1055,7 +882,7 @@ class Simulator:
     def events_executed(self) -> int:
         """Total events dispatched so far, including inline resumptions.
 
-        The run loops count dispatches locally and flush the tally once per
+        The run loop counts dispatches locally and flushes the tally once per
         instant (fast-path enqueues do not number entries — FIFO structures
         carry the order), so mid-run reads may lag by the instant currently
         draining; at run boundaries the count is exact.
@@ -1067,46 +894,32 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or virtual time passes ``until``.
 
-        Returns the virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped.  ``until`` may
+        not lie before :attr:`now`: virtual time never runs backwards.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run backwards in time (until={until} < now={self._now})"
+            )
         self._running = True
         try:
-            if self._use_heap:
-                return self._run_heap(until)
-            if self._opt_batch:
-                return self._run_batched(until)
-            return self._run_unbatched(until)
+            return self._loop(until)
         finally:
             self._running = False
 
-    def _run_heap(self, until: Optional[float]) -> float:
-        """The legacy single-heap loop (perturbations / baseline)."""
-        queue = self._queue
-        heappop = heapq.heappop
-        while queue:
-            if until is not None and queue[0].time > until:
-                self._now = until
-                break
-            ev = heappop(queue)
-            self._now = ev.time
-            self._dispatched += 1
-            ev.fn(*ev.args)
-        return self._now
-
-    def _run_batched(self, until: Optional[float]) -> float:
-        """The fast path: ring + bucket calendar with same-instant batching."""
+    def _loop(self, until: Optional[float]) -> float:
+        """Drain the ring, then promote the calendar's next instant to it."""
         times = self._times
         buckets = self._buckets
         pc = self._poll_counts  # mutated in place everywhere: safe to hoist
         heappop = heapq.heappop
-        opt_ring = self._opt_ring
         tup = tuple  # local: checked once per dispatched event
         # ``t > horizon`` is never true for an unbounded run, so the horizon
-        # branches below (which read the original ``until``) are only
-        # reachable when until is not None — one float compare per instant
-        # instead of a None check plus a compare.
+        # branch below (which reads the original ``until``) is only reachable
+        # when until is not None — one float compare per instant instead of
+        # a None check plus a compare.
         horizon = math.inf if until is None else until
         nd = 0  # dispatches since the last flush (see events_executed)
         while True:
@@ -1115,41 +928,8 @@ class Simulator:
                 nd = 0
             ring = self._ring
             if ring:
-                # events pending at the current instant (left over from a
-                # previous run() or pushed between runs)
-                t = self._ring_time
-                if times and times[0] < t:
-                    # pathological: time was rewound under a pending ring —
-                    # the calendar holds an earlier instant; drain it first
-                    # without touching the ring (cold path).
-                    t = times[0]
-                    if t > horizon:
-                        self._now = until
-                        break
-                    self._now = t
-                    heappop(times)
-                    lst = buckets.pop(t)
-                    if pc:
-                        pc.pop(t, None)
-                    if type(lst) is deque:
-                        while lst:
-                            e = lst.popleft()
-                            nd += 1
-                            if type(e) is tup:
-                                e[0](*e[1])
-                            else:
-                                e.trigger(e.value)
-                    else:
-                        nd += 1
-                        if type(lst) is tup:
-                            lst[0](*lst[1])
-                        else:
-                            lst.trigger(lst.value)
-                    continue
-                if t > horizon:
-                    self._now = until
-                    break
-                self._now = t
+                # the current instant's events: a promoted bucket, deferred
+                # poller ticks, or zero-delay events pushed between runs
                 pop = ring.popleft  # ring identity is stable within a drain
                 while ring:
                     e = pop()
@@ -1157,7 +937,7 @@ class Simulator:
                     if type(e) is tup:
                         e[0](*e[1])
                     else:
-                        # Pre-valued awaitable entry (see Timeout.__init__):
+                        # Pre-valued awaitable entry (see _make_timeout):
                         # the sole-waiter trigger inlined — keep in sync
                         # with Awaitable.trigger.  Tail position: no depth
                         # bump (cf. the trigger fast lane).
@@ -1193,7 +973,12 @@ class Simulator:
                     # path) behave exactly as with a promoted 1-item ring
                     nd += 1
                     lst[0](*lst[1])
-                elif type(lst) is not deque:
+                elif type(lst) is deque:
+                    # promote the whole bucket to the ring: everything at
+                    # this instant drains on the next pass without
+                    # re-touching the heap, and zero-delay schedules join it
+                    self._ring = lst
+                else:
                     nd += 1
                     # singleton pre-valued awaitable: sole-waiter trigger
                     # inlined (see the ring drain above; keep in sync)
@@ -1206,77 +991,10 @@ class Simulator:
                             w._step(lst.value, None)
                     else:
                         lst.trigger(lst.value)
-                elif opt_ring:
-                    # promote the whole bucket to the ring: everything at
-                    # this instant drains without re-touching the heap, and
-                    # zero-delay schedules append behind it in seq order
-                    self._ring = ring = lst
-                    self._ring_time = t
-                    pop = ring.popleft
-                    while ring:
-                        e = pop()
-                        nd += 1
-                        if type(e) is tup:
-                            e[0](*e[1])
-                        else:
-                            w = e._waiter
-                            if (
-                                w is not None
-                                and not e._callbacks
-                                and not e.triggered
-                            ):
-                                e.triggered = True
-                                e._waiter = None
-                                if w._waiting_on is e:
-                                    w._waiting_on = None
-                                    w._step(e.value, None)
-                            else:
-                                e.trigger(e.value)
-                else:
-                    while lst:
-                        e = lst.popleft()
-                        nd += 1
-                        if type(e) is tup:
-                            e[0](*e[1])
-                        else:
-                            e.trigger(e.value)
             else:
                 break
         if nd:
             self._dispatched += nd
-        return self._now
-
-    def _run_unbatched(self, until: Optional[float]) -> float:
-        """Bucket calendar without batching: re-consult the heap per event."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            if until is not None and t > until:
-                self._now = until
-                break
-            self._now = t
-            lst = buckets[t]
-            if type(lst) is deque:
-                e = lst.popleft()
-                if not lst:
-                    del buckets[t]
-                    heapq.heappop(times)
-                    if self._poll_counts:
-                        self._poll_counts.pop(t, None)
-            else:
-                e = lst
-                del buckets[t]
-                heapq.heappop(times)
-                if self._poll_counts:
-                    self._poll_counts.pop(t, None)
-            self._dispatched += 1
-            if type(e) is tuple:
-                e[0](*e[1])
-            else:
-                # pre-valued awaitable entry (unreachable while the fast
-                # path is off, but kept equivalent for safety)
-                e.trigger(e.value)
         return self._now
 
     def run_until_complete(self, proc: Process, limit: float = math.inf) -> Any:

@@ -1,16 +1,19 @@
-"""Edge semantics of the rebuilt simulator core (ISSUE 10).
+"""Edge semantics of the simulator core.
 
-The kernel now runs on a two-tier queue (microtask ring + bucket calendar)
-with same-instant batching and an opt-in idle fast-forward.  These tests pin
-the behaviors the rebuild must not have changed:
+The kernel runs one dispatch loop over a two-tier queue (microtask ring +
+bucket calendar) with same-instant batching, inline resumption and an
+opt-in idle fast-forward.  These tests pin the behaviors it must keep:
 
-* ``run(until=)`` stopping exactly at an event's timestamp,
+* ``run(until=)`` stopping exactly at an event's timestamp, and refusing
+  to move the clock backwards,
 * ``schedule_at`` clamping into the current instant mid-run,
-* ``peek()`` agreeing across both queue tiers and the legacy heap,
+* ``peek()`` agreeing across both queue tiers,
 * interrupt-vs-trigger races under the microtask ring,
 * a determinism witness — the frozen pre-rebuild kernel
-  (``repro.bench.legacy_simtime``) and every feature stage of the new one
-  produce identical traces on a randomized process soup,
+  (``repro.bench.legacy_simtime``) and the live one produce identical
+  traces on a randomized process soup,
+* schedule perturbations running on that same loop: an empty window
+  replays the unperturbed run exactly, a full one keeps every result,
 * the satellite fixes (AnyOf loser detach, interrupt-safe ``Resource.use``,
   ``Channel.cancel_get``) and the fast-forward contract.
 """
@@ -22,6 +25,7 @@ import random
 import pytest
 
 from repro.bench import legacy_simtime as legacy
+from repro.chaos.perturb import TiePerturbation
 from repro.cluster import simtime as live
 from repro.cluster.simtime import (
     Resource,
@@ -29,25 +33,19 @@ from repro.cluster.simtime import (
     Simulator,
 )
 
-# every feature stage of the new kernel (cumulative switches)
-STAGE_FLAGS = [
-    ("heap", dict(bucket_queue=False, instant_batching=False, microtask_ring=False)),
-    ("bucket", dict(bucket_queue=True, instant_batching=False, microtask_ring=False)),
-    ("batch", dict(bucket_queue=True, instant_batching=True, microtask_ring=False)),
-    ("ring", dict(bucket_queue=True, instant_batching=True, microtask_ring=True)),
-]
-
-
-def new_sim(flags):
-    return Simulator(**flags)
-
-
 # ---------------------------------------------------------------------------
 # randomized process soup: one script, replayed on every kernel
 
 
 def run_soup(mod, sim, seed: int):
-    """Run a scripted random soup; returns (trace, final_now, n_procs)."""
+    """Run a scripted random soup.
+
+    Returns ``(trace, final_now, results)``: ``results`` holds each
+    worker's return value (None for one an interrupt unwound, "stuck" for
+    one that never finished).  The director tops the channel up with one
+    item per scripted get once its interrupts are out, so every worker
+    finishes under any linearization.
+    """
     rng = random.Random(seed)
     trace: list = []
     chan = mod.Channel(sim, name="c")
@@ -66,8 +64,10 @@ def run_soup(mod, sim, seed: int):
                 ops.append(("get",))
             elif r < 0.72:
                 ops.append(("res", rng.choice([1e-4, 2e-4])))
-            elif r < 0.86:
+            elif r < 0.80:
                 ops.append(("spawn", rng.random() * 5e-4))
+            elif r < 0.86:
+                ops.append(("ready", rng.randint(0, 99)))
             else:
                 ops.append(("race", rng.choice([1e-4, 2e-4]), rng.choice([1e-4, 2e-4])))
         scripts.append(ops)
@@ -95,6 +95,12 @@ def run_soup(mod, sim, seed: int):
             elif kind == "spawn":
                 v = yield sim.process(child(op[1], i, k), name=f"ch{i}.{k}")
                 trace.append(("joined", i, v, round(sim.now, 9)))
+            elif kind == "ready":
+                # an already-resolved future: the inline resumption path
+                ready = mod.Signal(sim)
+                ready.succeed(op[1])
+                v = yield ready
+                trace.append(("ready", i, v, round(sim.now, 9)))
             elif kind == "race":
                 won = yield mod.AnyOf(
                     sim, [sim.timeout(op[1], "a"), sim.timeout(op[2], "b")]
@@ -111,37 +117,83 @@ def run_soup(mod, sim, seed: int):
         yield sim.timeout(2e-4)
         procs[7].interrupt("boom")
         trace.append(("director", round(sim.now, 9)))
+        for ops in scripts:
+            for op in ops:
+                if op[0] == "get":
+                    chan.put(-1)
+        # a lone wake-up after the soup has drained joins a resolved future:
+        # nothing else is pending, so it always resumes inline
+        yield sim.timeout(1e-2)
+        done = mod.Signal(sim)
+        done.succeed("done")
+        trace.append(("director", (yield done), round(sim.now, 9)))
 
     sim.process(director(), name="dir")
     end = sim.run()
-    return trace, round(end, 9), sum(p.triggered for p in procs)
+    return trace, round(end, 9), [p.value if p.triggered else "stuck" for p in procs]
 
 
 class TestDeterminismWitness:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_every_stage_matches_the_frozen_kernel(self, seed):
+    def test_live_kernel_matches_the_frozen_kernel(self, seed):
         reference = run_soup(legacy, legacy.Simulator(), seed)
-        for name, flags in STAGE_FLAGS:
-            got = run_soup(live, new_sim(flags), seed)
-            assert got == reference, f"stage {name!r} diverged on seed {seed}"
+        assert run_soup(live, Simulator(), seed) == reference
 
-    def test_event_counts_agree_across_stages(self):
+    def test_event_count_matches_the_frozen_kernel(self):
         # inline resumptions replace queue dispatches one-for-one, so the
-        # total executed-event count is stage-invariant
-        counts = set()
-        for _, flags in STAGE_FLAGS:
-            sim = new_sim(flags)
-            run_soup(live, sim, seed=9)
-            n = sim.events_executed()
-            assert n > 0
-            counts.add(n)
-        assert len(counts) == 1, f"stage counts diverged: {counts}"
+        # executed-event count equals the frozen kernel's dispatch count
+        frozen = legacy.Simulator()
+        run_soup(legacy, frozen, seed=9)
+        sim = Simulator()
+        run_soup(live, sim, seed=9)
+        assert sim.inline_steps > 0
+        assert sim.events_executed() == frozen._seq - len(frozen._queue) > 0
+
+
+class TestPerturbationOnTheLiveLoop:
+    """A perturbation runs the loop and fast paths that ship."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_empty_window_replays_the_unperturbed_run(self, seed):
+        plain = Simulator()
+        expected = run_soup(live, plain, seed)
+        sim = Simulator()
+        sim.set_perturbation(TiePerturbation(seed, active=()))
+        assert run_soup(live, sim, seed) == expected
+        assert sim.events_executed() == plain.events_executed()
+        assert sim.inline_steps == plain.inline_steps
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_full_window_keeps_every_result(self, seed):
+        _, _, expected = run_soup(live, Simulator(), seed)
+        sim = Simulator()
+        perturbation = TiePerturbation(seed)
+        sim.set_perturbation(perturbation)
+        _, _, results = run_soup(live, sim, seed)
+        assert "stuck" not in results
+        # the director's interrupts race the workers they target: each
+        # victim either finished first or unwound; everyone else agrees
+        victims = {3: (3, None), 7: (7, None)}
+        for i, (got, want) in enumerate(zip(results, expected)):
+            assert got in victims.get(i, (want,)), f"worker {i} on seed {seed}"
+        assert perturbation.perturbed > 0
+        assert sim.inline_steps > 0
+
+    def test_ranks_order_ties_in_ring_and_calendar(self):
+        sim = Simulator()
+        sim.set_perturbation(lambda seq, delay: (-seq, delay))  # newest first
+        order: list = []
+        for name in "abc":
+            sim.schedule(1e-3, order.append, name)  # one calendar bucket
+        for name in "xyz":
+            sim.schedule(0.0, order.append, name)  # the current instant
+        sim.run()
+        assert order == list("zyxcba")
 
 
 class TestRunUntil:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_event_exactly_at_until_fires(self, name, flags):
-        sim = new_sim(flags)
+    def test_event_exactly_at_until_fires(self):
+        sim = Simulator()
         fired = []
         sim.schedule(1e-3, fired.append, "at-until")
         sim.schedule(2e-3, fired.append, "beyond")
@@ -153,19 +205,29 @@ class TestRunUntil:
         sim.run()
         assert fired == ["at-until", "beyond"]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_until_with_no_event_advances_clock(self, name, flags):
-        sim = new_sim(flags)
+    def test_until_with_no_event_advances_clock(self):
+        sim = Simulator()
         sim.schedule(5e-3, lambda: None)
         assert sim.run(until=2e-3) == 2e-3
         assert sim.now == 2e-3
         assert sim.pending_events() == 1
 
+    def test_until_in_the_past_is_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5e-3, fired.append, "later")
+        assert sim.run(until=4e-3) == 4e-3
+        with pytest.raises(ValueError, match="backwards"):
+            sim.run(until=1e-3)
+        assert sim.now == 4e-3  # the clock did not move
+        sim.schedule(0.0, fired.append, "now")
+        sim.run()
+        assert fired == ["now", "later"]
+
 
 class TestScheduleAt:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_past_deadline_clamps_to_current_instant(self, name, flags):
-        sim = new_sim(flags)
+    def test_past_deadline_clamps_to_current_instant(self):
+        sim = Simulator()
         log = []
 
         def proc():
@@ -192,8 +254,8 @@ class TestPeekAcrossTiers:
         sim.schedule(0.0, lambda: None)  # ring (current instant)
         assert sim.peek() == 0.0
 
-    def test_heap_stage(self):
-        sim = new_sim(dict(STAGE_FLAGS[0][1]))
+    def test_calendar_returns_earliest_instant(self):
+        sim = Simulator()
         sim.schedule(2e-3, lambda: None)
         sim.schedule(1e-3, lambda: None)
         assert sim.peek() == 1e-3
@@ -213,12 +275,11 @@ class TestPeekAcrossTiers:
 
 
 class TestInterruptVsTriggerRaces:
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_trigger_then_interrupt_same_instant(self, name, flags):
+    def test_trigger_then_interrupt_same_instant(self):
         # the succeed is scheduled before the interrupt in the same instant:
         # the waiter resumes with the value first, then the interrupt lands
         # at its next yield
-        sim = new_sim(flags)
+        sim = Simulator()
         mod_sig = live.Signal(sim)
         log = []
 
@@ -242,13 +303,12 @@ class TestInterruptVsTriggerRaces:
         sim.run()
         assert log == [("value", "won"), ("interrupted", "lost")]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_interrupt_then_synchronous_trigger(self, name, flags):
+    def test_interrupt_then_synchronous_trigger(self):
         # interrupt() only *schedules* delivery; succeed() is synchronous.
         # Calling interrupt then succeed in one handler therefore resumes
         # the waiter with the value first, and the in-flight interrupt
         # lands on a completed process — a no-op.
-        sim = new_sim(flags)
+        sim = Simulator()
         sig = live.Signal(sim)
         log = []
 
@@ -270,12 +330,11 @@ class TestInterruptVsTriggerRaces:
         sim.run()
         assert log == [("value", "late")]
 
-    @pytest.mark.parametrize("name,flags", STAGE_FLAGS)
-    def test_stale_waiter_after_interrupt_is_not_resumed(self, name, flags):
+    def test_stale_waiter_after_interrupt_is_not_resumed(self):
         # the process unwinds via interrupt and re-waits on something else;
         # the original signal's later fire hits a stale waiter slot and
         # must not resume the process out of its new wait
-        sim = new_sim(flags)
+        sim = Simulator()
         sig = live.Signal(sim)
         log = []
 
@@ -493,28 +552,8 @@ class TestFastForward:
 
 
 class TestConfigurationGuards:
-    def test_flag_dependencies_enforced(self):
-        with pytest.raises(ValueError):
-            Simulator(bucket_queue=False, instant_batching=True)
-        with pytest.raises(ValueError):
-            Simulator(instant_batching=False, microtask_ring=True)
-
-    def test_configure_requires_idle_queue(self):
-        sim = Simulator()
-        sim.schedule(1e-3, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.configure(bucket_queue=False)
-
     def test_perturbation_requires_idle_queue(self):
         sim = Simulator()
         sim.schedule(1e-3, lambda: None)
         with pytest.raises(SimulationError):
             sim.set_perturbation(lambda seq, delay: (seq, delay))
-
-    def test_perturbation_falls_back_to_heap_and_restores(self):
-        sim = Simulator()
-        assert not sim._use_heap
-        sim.set_perturbation(lambda seq, delay: (seq, delay))
-        assert sim._use_heap
-        sim.set_perturbation(None)
-        assert not sim._use_heap
