@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
 from ..caching.kv import estimate_nbytes
@@ -55,6 +56,10 @@ __all__ = [
 DRIVER = "driver"
 
 ACTOR_CHECKPOINT_PREFIX = "__actor__/"
+
+_TERMINAL = (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+_IN_FLIGHT = (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+_submit_order = attrgetter("seq")
 
 
 class TaskError(RuntimeError):
@@ -108,7 +113,7 @@ class _TaskCtx:
     __slots__ = (
         "spec", "ref", "device", "raylet", "done", "state", "timeline",
         "error", "replays", "proc", "attempt", "retries", "twin", "is_clone",
-        "span", "pulls", "admitted", "admit_raylet", "lease_epoch",
+        "span", "pulls", "admitted", "admit_raylet", "lease_epoch", "seq",
     )
 
     def __init__(self, spec: TaskSpec, ref: ObjectRef, done: Signal):
@@ -131,6 +136,7 @@ class _TaskCtx:
         self.admitted = False  # holds a scheduler-level admission slot
         self.admit_raylet: Optional[Raylet] = None  # holds a raylet window slot
         self.lease_epoch = 0  # GCS fencing epoch stamped at dispatch (HA)
+        self.seq = 0  # submit order: the task's position in the runtime's _ctxs
 
 
 class _ActorLock:
@@ -247,7 +253,13 @@ class ServerlessRuntime:
         )
         self.scheduler.alive_filter = self._device_alive
 
-        self._ctxs: Dict[str, _TaskCtx] = {}
+        self._ctxs: Dict[str, _TaskCtx] = {}  # every task ever submitted
+        # the tasks a failure path can still reach: main context non-terminal
+        # or holding a twin (terminal twin-less entries are pruned lazily)
+        self._live: Dict[str, _TaskCtx] = {}
+        # object id -> ids of the tasks that list it as a dependency, in
+        # submit order: the cancel cascade and free() read this, not history
+        self._consumers: Dict[str, List[str]] = {}
         self._ctx_of_object: Dict[str, _TaskCtx] = {}
         self._waiting: List[_TaskCtx] = []  # pull mode: deps not yet ready
         self._gangs: Dict[str, List[_TaskCtx]] = {}
@@ -838,7 +850,11 @@ class ServerlessRuntime:
         ctx.timeline.submitted = self.sim.now
         self._open_task_span(ctx)
         self._m_submitted.inc()
-        self._ctxs[spec.task_id] = ctx
+        for dep in spec.dependencies:
+            readers = self._consumers.setdefault(dep.object_id, [])
+            if not readers or readers[-1] != spec.task_id:  # a repeated dep counts once
+                readers.append(spec.task_id)
+        self._register_ctx(ctx)
         self._ctx_of_object[oid] = ctx
         self._open_tasks += 1
         if queue_instead:
@@ -945,11 +961,32 @@ class ServerlessRuntime:
             reason="admission_reject",
         )
 
+    def _register_ctx(self, ctx: "_TaskCtx") -> None:
+        """Make ``ctx`` its task's main context.  A lineage replay reuses the
+        task id, so it keeps the first life's slot in ``_ctxs`` and its
+        ``seq``."""
+        task_id = ctx.spec.task_id
+        prior = self._ctxs.get(task_id)
+        ctx.seq = len(self._ctxs) if prior is None else prior.seq
+        self._ctxs[task_id] = ctx
+        self._live[task_id] = ctx
+
+    def _live_ctxs(self) -> List["_TaskCtx"]:
+        """Snapshot of the main contexts a failure path can still reach, in
+        submit order.  Terminal twin-less ones never come back (a replay is
+        a new context), so they are dropped here."""
+        live = self._live
+        for task_id in [
+            t for t, c in live.items() if c.twin is None and c.state in _TERMINAL
+        ]:
+            del live[task_id]
+        return sorted(live.values(), key=_submit_order)
+
     def _lowest_priority_pending(self, below: int) -> Optional["_TaskCtx"]:
         """The cheapest admitted victim: a PENDING, non-gang task with
         priority strictly below ``below`` (deterministic tie-break)."""
         victim: Optional[_TaskCtx] = None
-        for ctx in self._ctxs.values():
+        for ctx in self._live_ctxs():
             if (
                 not ctx.admitted
                 or ctx.state is not TaskState.PENDING
@@ -1144,7 +1181,7 @@ class ServerlessRuntime:
         (releasing any fetch-dedup followers via the leader's ``end_fetch``),
         and its speculative twin.  Every cancellation source funnels here, so
         every one lands in the event log with its ``reason``."""
-        if ctx.state in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED):
+        if ctx.state in _TERMINAL:
             return False
         ctx.state = TaskState.CANCELLED
         ctx.error = f"cancelled: {reason}"
@@ -1186,11 +1223,18 @@ class ServerlessRuntime:
     def _cancel_downstream(self, root: "_TaskCtx") -> None:
         """Cascade a cancellation to transitive consumers that have not run
         yet — their inputs will never materialize."""
-        frontier = {root.ref.object_id}
+        frontier = [root.ref.object_id]
         seen = set(frontier)
         while frontier:
-            cancelled_oids, frontier = frontier, set()
-            for ctx in list(self._ctxs.values()):
+            # this hop's consumers, as their main contexts stand at hop start;
+            # visited in submit order, state checked at visit time
+            hop = {
+                task_id: self._ctxs[task_id]
+                for oid in frontier
+                for task_id in self._consumers.get(oid, ())
+            }
+            frontier = []
+            for ctx in sorted(hop.values(), key=_submit_order):
                 if ctx.state not in (
                     TaskState.PENDING,
                     TaskState.SCHEDULED,
@@ -1198,15 +1242,11 @@ class ServerlessRuntime:
                 ):
                     continue
                 if (
-                    any(
-                        dep.object_id in cancelled_oids
-                        for dep in ctx.spec.dependencies
-                    )
-                    and self._cancel_ctx(ctx, reason="upstream_cancelled")
+                    self._cancel_ctx(ctx, reason="upstream_cancelled")
                     and ctx.ref.object_id not in seen
                 ):
                     seen.add(ctx.ref.object_id)
-                    frontier.add(ctx.ref.object_id)
+                    frontier.append(ctx.ref.object_id)
 
     # -- overload control: circuit breakers -----------------------------------
 
@@ -1910,8 +1950,7 @@ class ServerlessRuntime:
             # result while we ran; first commit wins, the rest stand down
             main = self._ctxs.get(spec.task_id, ctx)
             if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+                main.state in _TERMINAL
                 or self.ownership.is_ready(ctx.ref.object_id)
             ):
                 return
@@ -1987,8 +2026,7 @@ class ServerlessRuntime:
             if (
                 loser is not None
                 and loser.proc is not None
-                and loser.state
-                in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                and loser.state in _IN_FLIGHT
             ):
                 loser.proc.interrupt("speculative twin won")
             self.tasks_finished += 1
@@ -2027,8 +2065,7 @@ class ServerlessRuntime:
                 return  # backup copy: the original (or the winner) carries on
             main = self._ctxs.get(spec.task_id, ctx)
             if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+                main.state in _TERMINAL
                 or self.ownership.is_ready(ctx.ref.object_id)
             ):
                 return  # interrupted after the result already committed
@@ -2038,8 +2075,7 @@ class ServerlessRuntime:
                 return
             main = self._ctxs.get(spec.task_id, ctx)
             if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+                main.state in _TERMINAL
                 or self.ownership.is_ready(ctx.ref.object_id)
             ):
                 return
@@ -2049,8 +2085,7 @@ class ServerlessRuntime:
                 return
             main = self._ctxs.get(spec.task_id, ctx)
             if (
-                main.state
-                in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED)
+                main.state in _TERMINAL
                 or self.ownership.is_ready(ctx.ref.object_id)
             ):
                 return
@@ -2178,8 +2213,7 @@ class ServerlessRuntime:
         yield self.sim.timeout(self.config.task_timeout)
         if (
             ctx.attempt == attempt
-            and ctx.state
-            in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+            and ctx.state in _IN_FLIGHT
             and not self.ownership.is_ready(ctx.ref.object_id)
             and ctx.proc is not None
         ):
@@ -2199,8 +2233,7 @@ class ServerlessRuntime:
             ctx.attempt != attempt
             or ctx.twin is not None
             or self._ctxs.get(ctx.spec.task_id) is not ctx
-            or ctx.state
-            not in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+            or ctx.state not in _IN_FLIGHT
             or self.ownership.is_ready(ctx.ref.object_id)
         ):
             return
@@ -2474,16 +2507,10 @@ class ServerlessRuntime:
     def _open_consumers(self, object_id: str) -> bool:
         """Any non-terminal task (including pending retries) that lists the
         object as a dependency still needs its directory entry."""
-        for ctx in self._ctxs.values():
-            if ctx.state in (
-                TaskState.FINISHED,
-                TaskState.FAILED,
-                TaskState.CANCELLED,
-            ):
-                continue
-            if any(dep.object_id == object_id for dep in ctx.spec.dependencies):
-                return True
-        return False
+        return any(
+            self._ctxs[task_id].state not in _TERMINAL
+            for task_id in self._consumers.get(object_id, ())
+        )
 
     def _free_object(self, oid: str, site: str = "driver") -> int:
         entry = self.ownership.entry(oid)
@@ -2661,14 +2688,13 @@ class ServerlessRuntime:
 
     def _interrupt_tasks_on(self, node_id: str, cause: str) -> None:
         """In-flight attempts placed on the node resubmit themselves."""
-        for ctx in list(self._ctxs.values()):
+        for ctx in self._live_ctxs():
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
                     and victim.device is not None
                     and victim.device.node_id == node_id
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                    and victim.state in _IN_FLIGHT
                     and victim.proc is not None
                 ):
                     victim.proc.interrupt(f"node {node_id}: {cause}")
@@ -2687,13 +2713,9 @@ class ServerlessRuntime:
         unrecoverable (no standby, or none left alive).  Failing before
         interrupting matters — the Interrupt handler sees a terminal state
         and returns instead of scheduling a retry against a dead GCS."""
-        for task_id in sorted(self._ctxs):
+        for task_id in sorted(ctx.spec.task_id for ctx in self._live_ctxs()):
             ctx = self._ctxs[task_id]
-            if ctx.state in (
-                TaskState.FINISHED,
-                TaskState.FAILED,
-                TaskState.CANCELLED,
-            ):
+            if ctx.state in _TERMINAL:
                 continue
             self._fail_ctx(ctx, reason)
             for victim in (ctx, ctx.twin):
@@ -3112,15 +3134,14 @@ class ServerlessRuntime:
             if original is not None:
                 self._raylet_of_device[dev_id] = original
         # attempts mid-flight through the takeover raylet must re-dispatch
-        for ctx in list(self._ctxs.values()):
+        for ctx in self._live_ctxs():
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
                     and victim.raylet is head_raylet
                     and victim.device is not None
                     and victim.device.device_id in adopted
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                    and victim.state in _IN_FLIGHT
                     and victim.proc is not None
                 ):
                     victim.proc.interrupt("control handed back to revived raylet")
@@ -3155,26 +3176,24 @@ class ServerlessRuntime:
 
     def _interrupt_tasks_on_device(self, device_id: str, cause: str) -> None:
         """In-flight attempts placed on one device resubmit themselves."""
-        for ctx in list(self._ctxs.values()):
+        for ctx in self._live_ctxs():
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
                     and victim.device is not None
                     and victim.device.device_id == device_id
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                    and victim.state in _IN_FLIGHT
                     and victim.proc is not None
                 ):
                     victim.proc.interrupt(f"device {device_id}: {cause}")
 
     def _interrupt_tasks_on_raylet(self, raylet: Raylet, cause: str) -> None:
-        for ctx in list(self._ctxs.values()):
+        for ctx in self._live_ctxs():
             for victim in (ctx, ctx.twin):
                 if (
                     victim is not None
                     and victim.raylet is raylet
-                    and victim.state
-                    in (TaskState.SCHEDULED, TaskState.RESOLVING, TaskState.RUNNING)
+                    and victim.state in _IN_FLIGHT
                     and victim.proc is not None
                 ):
                     victim.proc.interrupt(cause)
@@ -3184,14 +3203,7 @@ class ServerlessRuntime:
         is recovered now, instead of waiting for a driver ``get`` to notice."""
         if not lost:
             return
-        lost_set = set(lost)
-        needed = set()
-        for ctx in self._ctxs.values():
-            if ctx.state in (TaskState.FINISHED, TaskState.FAILED, TaskState.CANCELLED):
-                continue
-            for dep in ctx.spec.dependencies:
-                if dep.object_id in lost_set:
-                    needed.add(dep.object_id)
+        needed = [oid for oid in set(lost) if self._open_consumers(oid)]
         for oid in sorted(needed):
             self._record("proactive_recovery", object=oid)
             self._recover(ObjectRef(oid), proactive=True)
@@ -3297,7 +3309,7 @@ class ServerlessRuntime:
             ctx.timeline.submitted = self.sim.now
             self._open_task_span(ctx, replayed=True)
             self._m_replays.inc()
-            self._ctxs[spec.task_id] = ctx
+            self._register_ctx(ctx)  # same spec and task id: consumers stay
             self._ctx_of_object[old_ids[0]] = ctx
             self._open_tasks += 1
             try:

@@ -39,6 +39,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..runtime.overload import AdmissionRejectedError
 from ..runtime.task import TaskState
+from ..telemetry.metrics import nearest_rank_index
 from .balancer import HeadNodeBalancer
 from .tenants import TenantRegistry
 from .workload import Request
@@ -351,8 +352,4 @@ class ServingFrontend:
         values = sorted(self.latencies)
         if not values:
             return {name: float("nan") for name, _q in quantiles}
-
-        def nearest_rank(q: float) -> float:
-            return values[max(0, min(len(values) - 1, round(q * len(values)) - 1))]
-
-        return {name: nearest_rank(q) for name, q in quantiles}
+        return {name: values[nearest_rank_index(q, len(values))] for name, q in quantiles}

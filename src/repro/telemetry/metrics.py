@@ -12,13 +12,24 @@ Instruments are identified by ``(name, labels)``; the registry
 get-or-creates on access so call sites stay one-liners::
 
     registry.counter("skadi_link_bytes_total", link="a<->b").inc(nbytes)
+
+Those one-liners sit on every hot path, so the lookup has a fast path: the
+registry binds each call site's labels exactly as passed — ``(kind, name,
+tuple(labels.items()))``, kwarg order included — to the instrument they
+resolved to.  A hit skips the sorted, stringified canonical key, so that
+sort is paid once per label set a call site uses, not once per call.  Only
+all-``str`` label sets are bound (an equal-but-different value such as
+``1`` vs ``1.0`` can never alias); anything else, unhashable values
+included, takes the canonical path every time.  The kind is part of the
+bound key, so a kind mismatch misses and raises as before.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricFamily", "MetricsRegistry", "nearest_rank_index"]
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -27,6 +38,17 @@ DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def nearest_rank_index(p: float, n: int) -> int:
+    """0-based index of the nearest-rank ``p`` percentile among ``n`` sorted
+    samples: the ``ceil(p * n)``-th smallest, clamped to the samples.  The
+    epsilon keeps float noise (``0.07 * 100 == 7.000000000000001``) from
+    bumping an exact rank up by one."""
+    return max(0, min(n - 1, math.ceil(p * n - 1e-9) - 1))
+
+
+BoundKey = Tuple[str, str, Tuple[Tuple[str, Any], ...]]
 
 
 class Instrument:
@@ -134,10 +156,7 @@ class Histogram(Instrument):
         if not self._sorted:
             self._values.sort()
             self._sorted = True
-        rank = max(0, min(len(self._values) - 1, round(p * len(self._values)) - 1))
-        if p == 0.0:
-            rank = 0
-        return self._values[rank]
+        return self._values[nearest_rank_index(p, len(self._values))]
 
     def quantiles(self, qs: Iterable[float] = DEFAULT_QUANTILES) -> Dict[float, float]:
         return {q: self.percentile(q) for q in qs}
@@ -171,10 +190,30 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._families: Dict[str, MetricFamily] = {}
+        # call-site labels as passed -> (instrument, family); see module doc
+        self._bound: Dict[BoundKey, Tuple[Instrument, MetricFamily]] = {}
 
     # -- get-or-create accessors --------------------------------------------
 
     def _instrument(self, kind: str, name: str, help: str, labels: Dict[str, Any]):
+        bound_key = (kind, name, tuple(labels.items()))
+        try:
+            bound = self._bound.get(bound_key)
+        except TypeError:  # an unhashable label value
+            return self._resolve(kind, name, help, labels)
+        if bound is None:
+            inst = self._resolve(kind, name, help, labels)
+            if all(type(v) is str for v in labels.values()):
+                self._bound[bound_key] = (inst, self._families[name])
+            return inst
+        inst, family = bound
+        if help and not family.help:
+            family.help = help
+        return inst
+
+    def _resolve(self, kind: str, name: str, help: str, labels: Dict[str, Any]):
+        """The canonical get-or-create: family by name, instrument by the
+        sorted, stringified label key."""
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, kind, help)

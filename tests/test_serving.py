@@ -406,6 +406,12 @@ class TestFrontend:
         assert overall["p50"] == by_class["p50"]
         assert overall["p50"] <= overall["p99"] <= overall["p999"]
 
+    def test_overall_percentiles_use_nearest_rank(self):
+        fe = ServingFrontend(make_rt(), TenantRegistry(4))
+        fe.latencies.extend([5.0, 1.0, 4.0, 2.0, 3.0])
+        # p50 of five samples is the 3rd (ceil(2.5)), not the 2nd
+        assert fe.latency_percentiles() == {"p50": 3.0, "p99": 5.0, "p999": 5.0}
+
 
 class TestRuntimeHooks:
     def test_when_done_fires_on_finish_fail_and_cancel(self):

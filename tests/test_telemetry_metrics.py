@@ -11,6 +11,7 @@ from repro.telemetry import (
     parse_prometheus_text,
     to_prometheus_text,
 )
+from repro.telemetry.metrics import nearest_rank_index
 
 
 class FakeClock:
@@ -92,6 +93,24 @@ class TestHistogram:
         assert h.percentile(0.0) == 1.0
         assert h.percentile(1.0) == 100.0
 
+    def test_half_ranks_round_up(self, registry):
+        # nearest rank is ceil(p*n): p85 of 1..10 is the 9th value, p25 the
+        # 3rd (rounding p*n half-to-even picked 8 and 2)
+        h = registry.histogram("skadi_latency_seconds")
+        for v in range(1, 11):
+            h.observe(float(v))
+        assert h.percentile(0.85) == 9.0
+        assert h.percentile(0.25) == 3.0
+        assert h.percentile(0.5) == 5.0
+        assert h.percentile(0.05) == 1.0
+
+    def test_nearest_rank_index(self):
+        assert nearest_rank_index(0.0, 10) == 0
+        assert nearest_rank_index(1.0, 10) == 9
+        assert nearest_rank_index(0.5, 5) == 2
+        assert nearest_rank_index(0.07, 100) == 6  # 0.07 * 100 is 7.000000000000001
+        assert nearest_rank_index(0.999, 1) == 0
+
     def test_empty_percentile_is_nan(self, registry):
         h = registry.histogram("skadi_latency_seconds")
         assert math.isnan(h.percentile(0.5))
@@ -120,6 +139,45 @@ class TestRegistry:
         registry.counter("skadi_x_total")
         with pytest.raises(ValueError, match="already registered as counter"):
             registry.gauge("skadi_x_total")
+
+    def test_bound_lookup_ignores_kwarg_order(self, registry):
+        a = registry.counter("skadi_x_total", link="l", dir="rx")
+        b = registry.counter("skadi_x_total", dir="rx", link="l")
+        c = registry.counter("skadi_x_total", link="l", dir="rx")  # a bound hit
+        assert a is b is c
+        assert len(registry.family("skadi_x_total")) == 1
+
+    def test_non_str_and_unhashable_labels_take_the_canonical_path(self, registry):
+        a = registry.counter("skadi_x_total", shard=1)
+        assert registry.counter("skadi_x_total", shard="1") is a
+        # equal to 1, but a different label once stringified
+        assert registry.counter("skadi_x_total", shard=1.0) is not a
+        assert registry.counter("skadi_x_total", shard=True) is not a
+        u = registry.counter("skadi_x_total", devices=["a", "b"])
+        u.inc()
+        assert registry.counter("skadi_x_total", devices=["a", "b"]) is u
+        assert registry.value("skadi_x_total", devices="['a', 'b']") == 1.0
+
+    def test_kind_conflict_raises_after_a_bound_hit(self, registry):
+        registry.counter("skadi_x_total", link="l")
+        registry.counter("skadi_x_total", link="l")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.gauge("skadi_x_total", link="l")
+
+    def test_help_backfills_on_a_bound_hit(self, registry):
+        registry.counter("skadi_x_total", link="l")
+        registry.counter("skadi_x_total", "things done", link="l")
+        assert registry.family("skadi_x_total").help == "things done"
+        registry.counter("skadi_x_total", "something else", link="l")
+        assert registry.family("skadi_x_total").help == "things done"
+
+    def test_get_and_value_see_bound_instruments(self, registry):
+        registry.counter("skadi_x_total", link="l", dir="rx").inc(2)
+        registry.counter("skadi_x_total", dir="rx", link="l").inc(3)
+        assert registry.get("skadi_x_total", dir="rx", link="l").value == 5.0
+        assert registry.value("skadi_x_total", link="l", dir="rx") == 5.0
+        assert registry.get("skadi_x_total", link="other") is None
+        assert registry.value("skadi_x_total", default=-1.0, link="other") == -1.0
 
     def test_families_sorted_by_name(self, registry):
         registry.counter("skadi_b_total")
